@@ -22,6 +22,13 @@
 // spec must have the same SHA-256 (the service-smoke CI job asserts
 // exactly that).
 //
+// The dataset bytes do not carry the traceroute sweep's hop
+// observations or the congestion samples, so each cell also prints an
+// obs= digest of both (campaign.Result.ObservationDigest), which must
+// match across the grid too. The base spec keeps traceroutes on
+// (stride 3) so that digest covers real forwarding: a TTL off by one
+// changes it even when the dataset hash stays put.
+//
 // Every grid cell runs with a full telemetry set attached
 // (campaign.NewMetrics), so the grid doubles as the out-of-band proof
 // for the flight recorder: if instrumentation ever perturbed an event
@@ -48,7 +55,7 @@ func main() {
 	base := campaign.DefaultSpec()
 	base.Scale = "small"
 	base.Traces = 2
-	base.Stride = 0
+	base.Stride = 3
 	spec := campaign.BindSpecFlags(flag.CommandLine, campaign.FlagOptions{
 		Base: base,
 		Grid: &campaign.GridDefaults{
@@ -67,23 +74,23 @@ func main() {
 	}
 
 	// Cells arrive scenario-outermost; each scenario's first cell sets
-	// the reference hash the rest of its block must match.
+	// the reference hashes the rest of its block must match.
 	failed := false
-	scenario, ref := "", ""
+	scenario, ref, refObs := "", "", ""
 	for _, cell := range cells {
 		if cell.Scenario != scenario {
-			scenario, ref = cell.Scenario, ""
+			scenario, ref, refObs = cell.Scenario, "", ""
 		}
-		sum, err := runHash(cell)
+		sum, obs, err := runHash(cell)
 		if err != nil {
 			fatal("scenario %s sched=%s xtraffic=%s slices=%d workers=%d: %v",
 				cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers, err)
 		}
-		fmt.Printf("%s  scenario=%s sched=%s xtraffic=%s slices=%d workers=%d\n",
-			sum, cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers)
+		fmt.Printf("%s  scenario=%s sched=%s xtraffic=%s slices=%d workers=%d obs=%s\n",
+			sum, cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers, obs)
 		if ref == "" {
-			ref = sum
-		} else if sum != ref {
+			ref, refObs = sum, obs
+		} else if sum != ref || obs != refObs {
 			fmt.Fprintf(os.Stderr,
 				"determinism: FAIL: scenario %s diverges at sched=%s xtraffic=%s slices=%d workers=%d\n",
 				cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers)
@@ -93,27 +100,27 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid\n", len(cells))
+	fmt.Printf("determinism: OK — %d merged datasets and observation digests identical across the slices × workers × scheduler × cross-traffic grid\n", len(cells))
 }
 
 // runHash executes one grid cell's campaign — telemetry attached — and
 // returns the SHA-256 of its merged dataset in canonical JSON-lines
-// form.
-func runHash(spec campaign.Spec) (string, error) {
+// form, plus its observation digest.
+func runHash(spec campaign.Spec) (sum, obs string, err error) {
 	cfg, err := spec.Config()
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	cfg.Metrics = campaign.NewMetrics(telemetry.NewRegistry())
 	res, err := campaign.Run(cfg)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	h := sha256.New()
 	if err := dataset.Write(h, res.Dataset); err != nil {
-		return "", err
+		return "", "", err
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return fmt.Sprintf("%x", h.Sum(nil)), res.ObservationDigest(), nil
 }
 
 func fatal(format string, args ...any) {

@@ -34,6 +34,8 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -221,6 +223,24 @@ type Result struct {
 	// independent of the slice count. Feed it to
 	// analysis.ComputeCEMarkReport.
 	Congestion []analysis.CEMarkSample
+}
+
+// ObservationDigest returns the hex SHA-256 of the result's traceroute
+// observations and congestion samples, in canonical order. The dataset
+// bytes carry neither, so a determinism check that hashes only the
+// dataset would miss a change in forwarding (a TTL off by one) or in
+// queue accounting; this digest covers them.
+func (r *Result) ObservationDigest() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "pathobs %d\n", len(r.PathObs))
+	for _, o := range r.PathObs {
+		fmt.Fprintf(h, "%+v\n", o)
+	}
+	fmt.Fprintf(h, "congestion %d\n", len(r.Congestion))
+	for _, c := range r.Congestion {
+		fmt.Fprintf(h, "%+v\n", c)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.

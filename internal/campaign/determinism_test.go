@@ -21,6 +21,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	type artefacts struct {
 		data    []byte
 		pathObs int
+		obs     string
 		figure4 string
 		figure5 string
 		figure6 string
@@ -33,6 +34,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		return artefacts{
 			data:    encode(t, res.Dataset),
 			pathObs: len(res.PathObs),
+			obs:     res.ObservationDigest(),
 			figure4: analysis.RenderFigure4(analysis.ComputeFigure4(res.PathObs, res.World.ASN)),
 			figure5: analysis.RenderFigure5(f5),
 			figure6: analysis.RenderFigure6(analysis.ComputeFigure6(f5)),
@@ -49,8 +51,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Errorf("workers=%d: merged dataset differs from workers=1 (%d vs %d bytes)",
 				workers, len(got.data), len(ref.data))
 		}
-		if got.pathObs != ref.pathObs {
-			t.Errorf("workers=%d: %d path observations, want %d", workers, got.pathObs, ref.pathObs)
+		if got.obs != ref.obs {
+			t.Errorf("workers=%d: observation digest %s, want %s", workers, got.obs, ref.obs)
 		}
 		if got.figure4 != ref.figure4 {
 			t.Errorf("workers=%d: Figure 4 differs:\n%s\nvs\n%s", workers, got.figure4, ref.figure4)
@@ -65,7 +67,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestSliceCountInvariance is the sub-vantage sharding guarantee: the
-// merged dataset, traceroute observations and congestion report are
+// merged dataset, traceroute observations (by digest, so every hop
+// counts, not just how many) and congestion report are
 // byte-identical whether each vantage runs as one shard or split into
 // contiguous trace slices — including more slices than traces. With
 // per-trace seeds, epoch-pinned starts and transient resets, a trace
@@ -76,7 +79,7 @@ func TestSliceCountInvariance(t *testing.T) {
 	}
 	for _, scenario := range []string{ScenarioUncongested, ScenarioCongestedEdge} {
 		var refData []byte
-		var refObs int
+		var refObs string
 		var refCong []analysis.CEMarkSample
 		for _, slices := range []int{1, 2, 8} {
 			cfg := testConfig()
@@ -85,14 +88,14 @@ func TestSliceCountInvariance(t *testing.T) {
 			res := runOrFatal(t, cfg)
 			data := encode(t, res.Dataset)
 			if refData == nil {
-				refData, refObs, refCong = data, len(res.PathObs), res.Congestion
+				refData, refObs, refCong = data, res.ObservationDigest(), res.Congestion
 				continue
 			}
 			if !bytes.Equal(refData, data) {
 				t.Errorf("%s: dataset differs between slices=1 and slices=%d", scenario, slices)
 			}
-			if len(res.PathObs) != refObs {
-				t.Errorf("%s: slices=%d: %d path observations, want %d", scenario, slices, len(res.PathObs), refObs)
+			if got := res.ObservationDigest(); got != refObs {
+				t.Errorf("%s: slices=%d: observation digest %s, want %s", scenario, slices, got, refObs)
 			}
 			if len(res.Congestion) != len(refCong) {
 				t.Fatalf("%s: slices=%d: %d congestion samples, want %d", scenario, slices, len(res.Congestion), len(refCong))
@@ -198,7 +201,7 @@ func TestSchedulerDifferential(t *testing.T) {
 	}
 	for _, scenario := range Scenarios() {
 		var ref []byte
-		var refObs int
+		var refObs string
 		for _, sched := range []string{"wheel", "heap"} {
 			cfg := testConfig()
 			cfg.Scenario = scenario
@@ -207,15 +210,15 @@ func TestSchedulerDifferential(t *testing.T) {
 			res := runOrFatal(t, cfg)
 			data := encode(t, res.Dataset)
 			if ref == nil {
-				ref, refObs = data, len(res.PathObs)
+				ref, refObs = data, res.ObservationDigest()
 				continue
 			}
 			if !bytes.Equal(ref, data) {
 				t.Errorf("%s: merged dataset differs between wheel and heap", scenario)
 			}
-			if len(res.PathObs) != refObs {
-				t.Errorf("%s: path observations differ between wheel and heap: %d vs %d",
-					scenario, len(res.PathObs), refObs)
+			if got := res.ObservationDigest(); got != refObs {
+				t.Errorf("%s: observation digest differs between wheel and heap: %s vs %s",
+					scenario, got, refObs)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ func TestXTrafficDifferential(t *testing.T) {
 		cfg.XTraffic = "events"
 		oracle := runOrFatal(t, cfg)
 		ref := encode(t, oracle.Dataset)
-		refObs := len(oracle.PathObs)
+		refObs := oracle.ObservationDigest()
 
 		for _, workers := range []int{1, 4, 13} {
 			for _, slices := range []int{1, 2, 8} {
@@ -36,9 +36,9 @@ func TestXTrafficDifferential(t *testing.T) {
 					t.Errorf("%s: lazy workers=%d slices=%d dataset differs from the events oracle",
 						scenario, workers, slices)
 				}
-				if len(res.PathObs) != refObs {
-					t.Errorf("%s: lazy workers=%d slices=%d: %d path observations, want %d",
-						scenario, workers, slices, len(res.PathObs), refObs)
+				if got := res.ObservationDigest(); got != refObs {
+					t.Errorf("%s: lazy workers=%d slices=%d: observation digest %s, want %s",
+						scenario, workers, slices, got, refObs)
 				}
 				if len(res.Congestion) != len(oracle.Congestion) {
 					t.Fatalf("%s: lazy workers=%d slices=%d: %d congestion samples, want %d",

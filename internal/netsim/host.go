@@ -160,7 +160,8 @@ func (h *Host) SendBuf(b *packet.Buf) {
 		}
 	}
 	if h.uplink != nil {
-		h.uplink.Send(h, b)
+		// Network.Attach makes the host endpoint a of its access link.
+		h.uplink.send(0, b)
 		return
 	}
 	b.Release()

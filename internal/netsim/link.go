@@ -32,6 +32,11 @@ type Node interface {
 type Link struct {
 	sim  *Sim
 	a, b Node
+	// aRouter is endpoint a's dense router id, or -1 when a is not a
+	// router, so the forwarding path resolves its transmit direction
+	// with an integer compare (routerDir) instead of comparing Node
+	// interfaces.
+	aRouter int32
 	// Directional properties, indexed by direction (a→b = 0, b→a = 1).
 	delay [2]time.Duration
 	loss  [2]float64
@@ -45,13 +50,18 @@ type Link struct {
 // newLink wires two nodes together. Use Network helpers instead of
 // constructing links directly.
 func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
-	return &Link{
-		sim:   sim,
-		a:     a,
-		b:     b,
-		delay: [2]time.Duration{delay, delay},
-		loss:  [2]float64{loss, loss},
+	l := &Link{
+		sim:     sim,
+		a:       a,
+		b:       b,
+		aRouter: -1,
+		delay:   [2]time.Duration{delay, delay},
+		loss:    [2]float64{loss, loss},
 	}
+	if r, ok := a.(*Router); ok {
+		l.aRouter = int32(r.id)
+	}
+	return l
 }
 
 // Peer returns the node on the other end from n.
@@ -103,6 +113,15 @@ func (l *Link) dir(from Node) int {
 	panic("netsim: node not on link " + from.Label())
 }
 
+// routerDir is dir for a transmitting router known to sit on the link:
+// an integer compare on dense router ids.
+func (l *Link) routerDir(r *Router) int {
+	if l.aRouter == int32(r.id) {
+		return 0
+	}
+	return 1
+}
+
 // peerOf returns the receiving node for direction d.
 func (l *Link) peerOf(d int) Node {
 	if d == 1 {
@@ -115,8 +134,10 @@ func (l *Link) peerOf(d int) Node {
 // delivered to the peer after the link delay unless the loss draw
 // discards it, or — on a bottlenecked direction — the AQM queue drops
 // it. Send takes ownership of the caller's buffer reference.
-func (l *Link) Send(from Node, b *packet.Buf) {
-	d := l.dir(from)
+func (l *Link) Send(from Node, b *packet.Buf) { l.send(l.dir(from), b) }
+
+// send is Send for a resolved direction d.
+func (l *Link) send(d int, b *packet.Buf) {
 	l.sent[d]++
 	if l.loss[d] > 0 && l.sim.rng.Float64() < l.loss[d] {
 		l.dropped[d]++
@@ -150,6 +171,13 @@ func (l *Link) Send(from Node, b *packet.Buf) {
 	}
 	bn.fgCount++
 	bn.pendingTx += txDuration(sz, bn.rate)
+	if l.sim.xtrafficEvents && bn.precise {
+		// Number this packet's finish exactly as the lazy drive does
+		// below; its serialization-boundary event carries the number
+		// (beginTx), so foreground finishes tie-break identically in
+		// both drives.
+		bn.pushSentinel(l.sim.sentinelSeq())
+	}
 	if !l.sim.xtrafficEvents && !bn.precise && bn.busy && !bn.evented {
 		// Hybrid (head-dropping discipline): a foreground packet is now
 		// in the system, so the in-flight virtual boundary converts to a
@@ -254,6 +282,11 @@ type bottleneck struct {
 	// fgCount counts foreground packets in the system (queued or on the
 	// wire): the hybrid drive's events-vs-lazy switch.
 	fgCount int
+	// fgSentinels[fgHead:] queues, in FIFO order, the sentinel seqs the
+	// events drive's precise disciplines give queued foreground
+	// packets' boundary events (see beginTx).
+	fgSentinels []uint64
+	fgHead      int
 
 	lazyIdx int // index in sim.lazy; -1 when unregistered
 
@@ -264,6 +297,26 @@ type bottleneck struct {
 	txPkt  *aqm.Packet
 	txDone func()
 	fgDone func()
+}
+
+// pushSentinel appends a queued foreground packet's sentinel seq,
+// reusing the consumed prefix before the backing array grows.
+func (bn *bottleneck) pushSentinel(seq uint64) {
+	if bn.fgHead > 0 && len(bn.fgSentinels) == cap(bn.fgSentinels) {
+		n := copy(bn.fgSentinels, bn.fgSentinels[bn.fgHead:])
+		bn.fgSentinels, bn.fgHead = bn.fgSentinels[:n], 0
+	}
+	bn.fgSentinels = append(bn.fgSentinels, seq)
+}
+
+// popSentinel removes and returns the oldest queued sentinel seq.
+func (bn *bottleneck) popSentinel() uint64 {
+	seq := bn.fgSentinels[bn.fgHead]
+	bn.fgHead++
+	if bn.fgHead == len(bn.fgSentinels) {
+		bn.fgSentinels, bn.fgHead = bn.fgSentinels[:0], 0
+	}
+	return seq
 }
 
 // SetBottleneck attaches a serialization-rate bottleneck with AQM queue
@@ -350,6 +403,18 @@ func (l *Link) beginTx(bn *bottleneck, now time.Duration) {
 	bn.pendingTx -= tx
 	bn.busyUntil = now + tx
 	switch {
+	case l.sim.xtrafficEvents && bn.precise && !p.Phantom():
+		// Events drive, precise discipline, foreground on the wire. The
+		// lazy drive keys this packet's finish with the sentinel drawn
+		// at its enqueue, so the boundary event carries that same
+		// sentinel — ordering it after every counter-seq event at its
+		// instant, and among foreground finishes by enqueue order —
+		// while the shared counter still advances here, as in both
+		// drives. Precise disciplines are FIFO with enqueue-only drops,
+		// so the queue head's sentinel is this packet's.
+		bn.evented = true
+		l.sim.nextSeq()
+		l.sim.atWithSeq(bn.busyUntil, bn.popSentinel(), bn.txDone)
 	case l.sim.xtrafficEvents || (!bn.precise && bn.fgCount > 0):
 		// Events drive, and the hybrid's foreground-present stretches:
 		// the boundary is a real event. beginTx runs in event context

@@ -251,8 +251,8 @@ func (n *Network) nextHopLink(r *Router, dst packet.Addr) *Link {
 	if !n.routed {
 		panic("netsim: ComputeRoutes not called")
 	}
-	att, ok := n.hostAttach[dst]
-	if !ok || att.host == nil || att.host.uplink == nil {
+	rid := n.hostRouter(dst)
+	if rid < 0 {
 		// Not a host address: maybe a router address (for ICMP replies to
 		// traceroute we must route *toward* routers too).
 		if rid, ok := n.routerIDByAddr(dst); ok {
@@ -263,10 +263,20 @@ func (n *Network) nextHopLink(r *Router, dst packet.Addr) *Link {
 		}
 		return nil
 	}
-	if att.routerID == r.id {
+	if int(rid) == r.id {
 		return r.hostLinks[dst]
 	}
-	return n.linkAt(n.nextHop[r.id][att.routerID])
+	return n.linkAt(n.nextHop[r.id][rid])
+}
+
+// hostRouter returns the dense id of the router an attached host
+// address hangs off, or -1 when dst is not an attached host.
+func (n *Network) hostRouter(dst packet.Addr) int32 {
+	att, ok := n.hostAttach[dst]
+	if !ok || att.host == nil || att.host.uplink == nil {
+		return -1
+	}
+	return int32(att.routerID)
 }
 
 // linkAt resolves a next-hop index to the link object, nil for -1.

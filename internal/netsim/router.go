@@ -112,7 +112,55 @@ func (r *Router) Receive(b *packet.Buf, from *Link) {
 		return
 	}
 	r.Forwarded++
-	link.Send(r, b)
+	link.send(link.routerDir(r), b)
+}
+
+// passiveEgress is the passive-hop fast path's test, offered by
+// Sim.Step for every delivery to a router without policies. A hop is
+// passive when Receive would run nothing but its plain forwarding
+// branch onto a lossless, unshaped link: the header validates (the full
+// ParseIPv4 check, as Receive makes), the destination is neither this
+// router nor a host attached here but a host elsewhere, the TTL
+// survives the decrement, and the egress direction draws no loss and
+// has no bottleneck. For such a hop it applies that branch's effects —
+// TTL decrement with incremental checksum, the Forwarded and link sent
+// counts — and returns the egress link and direction; the caller then
+// re-files the event where Link.Send would have scheduled it
+// (Sim.refile). Any other hop returns nil having changed nothing but
+// ev.dst, and Receive runs unchanged.
+//
+// ev.dst carries the destination's attachment router between hops:
+// the first router hop resolves it from the host map once, later hops
+// index the next-hop table with it directly.
+func (r *Router) passiveEgress(ev *event) (*Link, int) {
+	wire := ev.buf.Bytes()
+	dst, ttl, err := packet.ForwardingHeader(wire)
+	if err != nil || dst == r.addr || ttl < 2 || !r.net.routed {
+		return nil, 0
+	}
+	if ev.dst < 0 {
+		if ev.dst = r.net.hostRouter(dst); ev.dst < 0 {
+			return nil, 0
+		}
+	}
+	if int(ev.dst) == r.id {
+		return nil, 0
+	}
+	li := r.net.nextHop[r.id][ev.dst]
+	if li < 0 {
+		return nil, 0
+	}
+	link := r.net.links[li]
+	d := link.routerDir(r)
+	if link.loss[d] > 0 || link.bneck[d] != nil {
+		return nil, 0
+	}
+	if _, err := packet.DecrementWireTTL(wire); err != nil {
+		return nil, 0
+	}
+	r.Forwarded++
+	link.sent[d]++
+	return link, d
 }
 
 // route picks the egress link for dst: a directly attached host wins,
@@ -145,7 +193,7 @@ func (r *Router) sendTimeExceeded(ip packet.IPv4Header, dropped []byte) {
 		return
 	}
 	if link := r.route(ip.Src); link != nil {
-		link.Send(r, reply)
+		link.send(link.routerDir(r), reply)
 		return
 	}
 	reply.Release()

@@ -28,6 +28,13 @@
 //     SchedHeap for differential testing; both pop in exactly the same
 //     (time, seq) order, so a campaign's traces are bit-identical under
 //     either scheduler.
+//   - Cheap passive hops. A delivery to a router that would only
+//     decrement the TTL and forward onto a lossless, unshaped link is
+//     handled in Step itself (Router.passiveEgress, Sim.refile): the
+//     popped event is re-filed toward the next hop with the seq the
+//     per-hop path would have drawn, so every hop still costs exactly
+//     one event and event order is unchanged — only the Node dispatch,
+//     map lookups and slab churn go. DESIGN.md §16 has the argument.
 //   - Zero steady-state allocation. Event bodies live in a slab indexed
 //     by a free list; the wheel's slots and the heap's entries are
 //     pointer-free (they address the slab by index), so scheduling never
@@ -146,6 +153,13 @@ type Sim struct {
 	// sentinel numbers the lazy drive's foreground-finish events out of
 	// band (see sentinelSeq).
 	sentinel uint64
+
+	// perHop disables the passive-hop fast path, so every delivery runs
+	// Node.Receive: the differential oracle the fast path is tested
+	// against. Only tests set it (export_test.go).
+	perHop bool
+	// passiveHops counts router hops forwarded by the fast path.
+	passiveHops uint64
 }
 
 // NewSim returns a simulator whose randomness derives from seed, using
@@ -412,6 +426,25 @@ func (s *Sim) deliverAfter(d time.Duration, node Node, b *packet.Buf, from *Link
 	ev.node = node
 	ev.buf = b
 	ev.link = from
+	ev.dst = -1
+}
+
+// refile forwards a passive hop (Router.passiveEgress) by re-queueing
+// the delivery event Step just popped: the same slab body now carries
+// the buffer over l in direction d. The effect is exactly Link.Send's
+// deliverAfter on a lossless, unshaped link — one seq drawn from the
+// shared counter at the same point, the same timestamp, even the same
+// slab index, since the free list would have handed back the slot Step
+// recycled — so event order, PRNG draws and scheduler state stay
+// identical to the per-hop path. What it saves is the Node dispatch
+// and the recycle/realloc round trip.
+func (s *Sim) refile(idx int32, l *Link, d int) {
+	ev := &s.slab[idx]
+	ev.node = l.peerOf(d)
+	ev.link = l
+	s.passiveHops++
+	s.seq++
+	s.enqueue(idx, s.now+max(l.delay[d], 0), s.seq)
 }
 
 // schedule allocates an event body (from the free list when possible)
@@ -425,9 +458,6 @@ func (s *Sim) schedule(t time.Duration) int32 {
 // schedule's fresh draw, or a lazily-driven boundary's previously
 // reserved one.
 func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
-	if t < s.now {
-		t = s.now
-	}
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -435,6 +465,16 @@ func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 	} else {
 		s.slab = append(s.slab, event{})
 		idx = int32(len(s.slab) - 1)
+	}
+	s.enqueue(idx, t, seq)
+	return idx
+}
+
+// enqueue files event body idx on the active scheduler at absolute time
+// t (clamped to now) with sequence number seq.
+func (s *Sim) enqueue(idx int32, t time.Duration, seq uint64) {
+	if t < s.now {
+		t = s.now
 	}
 	ev := &s.slab[idx]
 	ev.at = t
@@ -446,7 +486,6 @@ func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 	} else {
 		s.heapPush(heapEntry{at: t, seq: seq, idx: idx})
 	}
-	return idx
 }
 
 // recycle clears an event body, bumps its generation (staling Timer
@@ -503,6 +542,12 @@ func (s *Sim) Step() bool {
 		s.executed++
 		s.live--
 		if ev.node != nil {
+			if r, ok := ev.node.(*Router); ok && len(r.policies) == 0 && !s.perHop {
+				if l, d := r.passiveEgress(ev); l != nil {
+					s.refile(idx, l, d)
+					return true
+				}
+			}
 			node, buf, link := ev.node, ev.buf, ev.link
 			s.recycle(idx)
 			node.Receive(buf, link)
@@ -596,6 +641,12 @@ type event struct {
 	at   time.Duration
 	seq  uint64
 	next int32
+
+	// dst completes the delivery payload, packed beside next: the dense
+	// id of the router the packet's destination host hangs off,
+	// resolved by the first router hop's fast path and carried along;
+	// -1 until then (see Router.passiveEgress).
+	dst int32
 }
 
 // less orders entries by (at, seq).

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,5 +124,64 @@ func TestLazyReplayCountsBoundaries(t *testing.T) {
 	if saved := events.Executed() - lazy.Executed(); saved != events.PhantomEvents() {
 		t.Errorf("lazy drive saved %d events, want exactly the %d phantom boundaries",
 			saved, events.PhantomEvents())
+	}
+}
+
+// TestXTrafficDrivesEquivalentTiedFinishes puts several bottlenecks in
+// front of one sink with equal rates, delays and packet sizes, so
+// foreground serialization finishes on different links land in the
+// same nanosecond. Their order decides the sink's arrival order, so
+// both drives must break such ties the same way: the lazy drive keys a
+// foreground finish by the sentinel drawn at enqueue, and the events
+// drive's boundary event must carry that same sentinel.
+func TestXTrafficDrivesEquivalentTiedFinishes(t *testing.T) {
+	const size, rate = 500, 100_000 // 5 ms serialization per packet
+	tx := txDuration(size, rate)
+	run := func(mode XTrafficMode, discipline string, util float64) string {
+		sim := NewSim(11)
+		sim.SetXTrafficMode(mode)
+		sink := &sinkNode{label: "sink", sim: sim}
+		var links []*Link
+		var srcs []*sinkNode
+		for i := 0; i < 3; i++ {
+			src := &sinkNode{label: fmt.Sprintf("src%d", i)}
+			l := newLink(sim, src, sink, time.Millisecond, 0)
+			q, err := aqm.New(discipline, 16, sim.RNG())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.SetBottleneck(src, rate, util, q)
+			links, srcs = append(links, l), append(srcs, src)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 300; i++ {
+			at := time.Duration(rng.Intn(200)) * tx
+			li := rng.Intn(len(links))
+			burst := 1 + rng.Intn(3)
+			sim.At(at, func() {
+				for j := 0; j < burst; j++ {
+					wire := testWire(t, ecn.ECT0, size-packet.IPv4HeaderLen-8)
+					wire.Bytes()[4] = byte(li) // tag the source in the IP ID
+					links[li].Send(srcs[li], wire)
+				}
+			})
+		}
+		sim.Run()
+		var sb strings.Builder
+		for i, wire := range sink.received {
+			fmt.Fprintf(&sb, "%v %d\n", sink.times[i], wire[4])
+		}
+		return sb.String()
+	}
+	for _, discipline := range []string{"droptail", "red"} {
+		for _, util := range []float64{0, 0.6} {
+			t.Run(fmt.Sprintf("%s/util=%.1f", discipline, util), func(t *testing.T) {
+				events := run(XTrafficEvents, discipline, util)
+				lazy := run(XTrafficLazy, discipline, util)
+				if events != lazy {
+					t.Errorf("tied finishes order differently between drives:\nevents:\n%.400s\nlazy:\n%.400s", events, lazy)
+				}
+			})
+		}
 	}
 }

@@ -132,3 +132,16 @@ func BenchmarkSetWireECN(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkForwardingHeader is the header validation every router hop
+// pays on the forwarding fast path: version, lengths, header checksum.
+func BenchmarkForwardingHeader(b *testing.B) {
+	wire, _ := BuildUDP(MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2"), 123, 123, 64, ecn.ECT0, 7, make([]byte, 48))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ForwardingHeader(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

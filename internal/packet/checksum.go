@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // Checksum computes the Internet checksum (RFC 1071) over data: the ones'
 // complement of the ones'-complement sum of the data taken as big-endian
 // 16-bit words, with a trailing odd byte padded with zero.
@@ -8,13 +10,20 @@ func Checksum(data []byte) uint16 {
 }
 
 // sumWords folds data into an ongoing 32-bit ones'-complement accumulator.
+// It adds four big-endian words per 8-byte load; uint32 addition is
+// associative, so the accumulator equals the word-at-a-time sum exactly.
 func sumWords(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	for len(data) >= 8 {
+		x := binary.BigEndian.Uint64(data)
+		sum += uint32(x>>48) + uint32(x>>32)&0xFFFF + uint32(x>>16)&0xFFFF + uint32(x)&0xFFFF
+		data = data[8:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 2 {
+		sum += uint32(data[0])<<8 | uint32(data[1])
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint32(data[0]) << 8
 	}
 	return sum
 }

@@ -63,6 +63,37 @@ func TestChecksumSplitInvariance(t *testing.T) {
 	}
 }
 
+// Property: sumWords' 8-byte steps and the IPv4 parser's unrolled
+// 20-byte headerChecksum agree exactly with the word-at-a-time
+// reference, including the all-zero and all-ones corners.
+func TestChecksumFastPathsMatchReference(t *testing.T) {
+	reference := func(data []byte) uint16 {
+		var sum uint32
+		for i := 0; i+1 < len(data); i += 2 {
+			sum += uint32(data[i])<<8 | uint32(data[i+1])
+		}
+		if len(data)%2 == 1 {
+			sum += uint32(data[len(data)-1]) << 8
+		}
+		return finishChecksum(sum)
+	}
+	f := func(data []byte, hdr [IPv4HeaderLen]byte) bool {
+		return Checksum(data) == reference(data) && headerChecksum(hdr[:]) == reference(hdr[:])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, fill := range []byte{0x00, 0xFF, 0x80} {
+		var hdr [IPv4HeaderLen]byte
+		for i := range hdr {
+			hdr[i] = fill
+		}
+		if got, want := headerChecksum(hdr[:]), reference(hdr[:]); got != want {
+			t.Errorf("fill %#02x: headerChecksum = %#04x, want %#04x", fill, got, want)
+		}
+	}
+}
+
 func TestPseudoHeaderSum(t *testing.T) {
 	src := MustParseAddr("10.0.0.1")
 	dst := MustParseAddr("10.0.0.2")

@@ -88,22 +88,9 @@ func (h *IPv4Header) marshalInto(hdr []byte, total uint16) {
 // a real IP stack would.
 func ParseIPv4(data []byte) (IPv4Header, []byte, error) {
 	var h IPv4Header
-	if len(data) < IPv4HeaderLen {
-		return h, nil, fmt.Errorf("%w: IPv4 header (%d bytes)", ErrTruncated, len(data))
-	}
-	if v := data[0] >> 4; v != 4 {
-		return h, nil, fmt.Errorf("%w: version %d", ErrBadVersion, v)
-	}
-	ihl := int(data[0]&0x0F) * 4
-	if ihl != IPv4HeaderLen {
-		return h, nil, fmt.Errorf("%w: IHL %d (options unsupported)", ErrBadHeaderLen, ihl)
-	}
-	total := int(binary.BigEndian.Uint16(data[2:]))
-	if total < ihl || total > len(data) {
-		return h, nil, fmt.Errorf("%w: total %d of %d available", ErrBadTotalLen, total, len(data))
-	}
-	if Checksum(data[:ihl]) != 0 {
-		return h, nil, ErrBadChecksum
+	total, err := checkIPv4(data)
+	if err != nil {
+		return h, nil, err
 	}
 	h.TOS = data[1]
 	h.TotalLen = uint16(total)
@@ -113,9 +100,59 @@ func ParseIPv4(data []byte) (IPv4Header, []byte, error) {
 	h.FragOff = flagsFrag & 0x1FFF
 	h.TTL = data[8]
 	h.Protocol = Protocol(data[9])
-	copy(h.Src[:], data[12:16])
-	copy(h.Dst[:], data[16:20])
-	return h, data[ihl:total], nil
+	h.Src = Addr(data[12:16])
+	h.Dst = Addr(data[16:20])
+	return h, data[IPv4HeaderLen:total], nil
+}
+
+// ForwardingHeader validates an IPv4 header exactly as ParseIPv4 does
+// — every check, in the same order, with the same errors — and returns
+// only the fields a forwarding hop reads: destination and TTL. Routers
+// call it on every hop, so it skips decoding the rest.
+func ForwardingHeader(data []byte) (dst Addr, ttl uint8, err error) {
+	if _, err := checkIPv4(data); err != nil {
+		return dst, 0, err
+	}
+	return Addr(data[16:20]), data[8], nil
+}
+
+// checkIPv4 performs ParseIPv4's validation and returns the total
+// length.
+func checkIPv4(data []byte) (int, error) {
+	if len(data) < IPv4HeaderLen {
+		return 0, fmt.Errorf("%w: IPv4 header (%d bytes)", ErrTruncated, len(data))
+	}
+	if v := data[0] >> 4; v != 4 {
+		return 0, fmt.Errorf("%w: version %d", ErrBadVersion, v)
+	}
+	if ihl := int(data[0]&0x0F) * 4; ihl != IPv4HeaderLen {
+		return 0, fmt.Errorf("%w: IHL %d (options unsupported)", ErrBadHeaderLen, ihl)
+	}
+	total := int(binary.BigEndian.Uint16(data[2:]))
+	if total < IPv4HeaderLen || total > len(data) {
+		return 0, fmt.Errorf("%w: total %d of %d available", ErrBadTotalLen, total, len(data))
+	}
+	if headerChecksum(data) != 0 {
+		return 0, ErrBadChecksum
+	}
+	return total, nil
+}
+
+// headerChecksum is Checksum over the 20-byte IPv4 header at the start
+// of data, unrolled into five 32-bit loads. Summing 32-bit words and
+// folding the carries yields the same ones'-complement sum as the 16-bit
+// word loop (2^16 ≡ 1 mod 0xFFFF, and both folds land in [1, 0xFFFF]
+// for any non-zero header), so the result equals Checksum's exactly.
+func headerChecksum(data []byte) uint16 {
+	h := data[:IPv4HeaderLen]
+	sum := uint64(binary.BigEndian.Uint32(h[0:])) + uint64(binary.BigEndian.Uint32(h[4:])) +
+		uint64(binary.BigEndian.Uint32(h[8:])) + uint64(binary.BigEndian.Uint32(h[12:])) +
+		uint64(binary.BigEndian.Uint32(h[16:]))
+	sum = sum&0xFFFFFFFF + sum>>32
+	sum = sum&0xFFFF + sum>>16
+	sum = sum&0xFFFF + sum>>16
+	sum = sum&0xFFFF + sum>>16
+	return ^uint16(sum)
 }
 
 // SetWireECN rewrites the ECN bits of a serialized IPv4 packet in place

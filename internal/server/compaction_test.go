@@ -36,6 +36,14 @@ const bigSpec = `{"spec": 1, "scale": "small", "traces": 3, "slices_per_vantage"
 // listener cleanup so tests can crash it.
 func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*httptest.Server, *apiclient.Client) {
 	t.Helper()
+	ts := httptest.NewServer(newSegServer(t, dir, fc, segBytes))
+	t.Cleanup(ts.Close)
+	return ts, apiclient.New(ts.URL)
+}
+
+// newSegServer builds the coordinator startSegServer serves.
+func newSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) *server.Server {
+	t.Helper()
 	srv, err := server.New(server.Config{
 		DataDir:             dir,
 		Jobs:                1,
@@ -46,9 +54,7 @@ func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*h
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, apiclient.New(ts.URL)
+	return srv
 }
 
 // journalBytes sums the on-disk footprint of one job's journal
@@ -286,7 +292,10 @@ func TestCompactionCrashMidSwap(t *testing.T) {
 	})
 	defer remove()
 
-	ts1, client1 := startSegServer(t, dir, fc, 2048)
+	srv1 := newSegServer(t, dir, fc, 2048)
+	ts1 := httptest.NewServer(srv1)
+	t.Cleanup(ts1.Close)
+	client1 := apiclient.New(ts1.URL)
 	job, _, err := client1.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +333,14 @@ func TestCompactionCrashMidSwap(t *testing.T) {
 	}
 
 	// Crash, disarm, restart: recovery picks the checkpoint base and
-	// tidies the superseded chain below it.
+	// tidies the superseded chain below it. A crashed coordinator runs
+	// nothing more, but this in-process one still has its compactor
+	// goroutine, which could unlink segments while the restarted
+	// coordinator replays them. Close stops it first, while the
+	// failpoint still aborts every queued compaction mid-swap; the
+	// clean-shutdown marker Close leaves changes only a log line.
 	ts1.Close()
+	srv1.Close()
 	remove()
 	_, client2 := startSegServer(t, dir, fc, 2048)
 

@@ -11,10 +11,11 @@
 #     setup cost (BenchmarkShardBuild) — shared frozen blueprints
 #     collapsed it from a full generation + all-pairs routing to a
 #     lightweight instantiation, and this gate keeps it collapsed;
-#   * any allocs/op > 0 on the pooled packet-path, scheduler and
-#     telemetry benchmarks (BenchmarkCEMarkThroughput,
-#     BenchmarkBuildUDPBuf, BenchmarkSimSchedule,
-#     BenchmarkSimScheduleSparse, BenchmarkTelemetryHotPath — the
+#   * any allocs/op > 0 on the pooled packet-path, forwarding,
+#     scheduler and telemetry benchmarks (BenchmarkCEMarkThroughput,
+#     BenchmarkBuildUDPBuf, BenchmarkForwardingPath,
+#     BenchmarkSimSchedule, BenchmarkSimScheduleSparse,
+#     BenchmarkTelemetryHotPath — the passive-hop fast path and the
 #     flight recorder's write path must stay allocation-free);
 #   * campaign-level allocations above PERF_GATE_MAX_CAMPAIGN_ALLOCS
 #     (default 300000) per BenchmarkCampaignWorkers run — the pooled
@@ -46,7 +47,7 @@ MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
 # and scheduler hot-path benches run many so pool warmup amortises to a
 # true 0 allocs/op steady state.
 CAMPAIGN_FILTER='BenchmarkCampaignWorkers/workers=4$|BenchmarkShardBuild$|BenchmarkCampaignTelemetry$'
-HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$'
+HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkForwardingPath$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$'
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -85,13 +86,13 @@ fi
 
 fail=0
 
-# Gate 1: zero allocs/op on the pooled packet-path, scheduler and
-# telemetry-write-path benchmarks.
-bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|SimSchedule|TelemetryHotPath)/ {
+# Gate 1: zero allocs/op on the pooled packet-path, forwarding,
+# scheduler and telemetry-write-path benchmarks.
+bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|ForwardingPath|SimSchedule|TelemetryHotPath)/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i+0 > 0) print $1, $i, "allocs/op"
 }' "$work/head.txt" | sort -u)"
 if [ -n "$bad_allocs" ]; then
-    echo "perf-gate: FAIL — pooled packet-path, scheduler and telemetry benchmarks must report 0 allocs/op:"
+    echo "perf-gate: FAIL — pooled packet-path, forwarding, scheduler and telemetry benchmarks must report 0 allocs/op:"
     echo "$bad_allocs"
     fail=1
 fi
