@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke check
+.PHONY: all build test race bench fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke fuzz-smoke check
 
 all: check
 
@@ -113,5 +113,22 @@ chaos-smoke:
 # regression or any allocation on the pooled packet-path benchmarks.
 perf-gate:
 	./scripts/perf_gate.sh
+
+# fuzz-smoke runs every fuzz target for FUZZTIME each: the packet wire
+# codec, the shard-result merge and the result-upload handler. go test
+# fuzzes one target per invocation; minimization is capped so one
+# large interesting input cannot eat the whole budget. Failures land
+# in the package's testdata/fuzz corpus.
+FUZZTIME ?= 15s
+FUZZ_TARGETS = ./internal/packet:FuzzWireRoundTrip \
+	./internal/campaign:FuzzMergeWire \
+	./internal/server:FuzzShardResultUpload
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name ($$pkg) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $$pkg; \
+	done
 
 check: fmt vet build test

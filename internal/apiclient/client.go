@@ -12,7 +12,6 @@ package apiclient
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bodyio"
 	"repro/internal/campaign"
 )
 
@@ -291,24 +291,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (int,
 	return c.send(ctx, method, path, body, "", out)
 }
 
-// doGzip is do with a gzip-compressed request body — the shard-result
-// upload path, where the payload is large repetitive JSON.
-func (c *Client) doGzip(ctx context.Context, method, path string, in, out any) (int, error) {
-	raw, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		return 0, err
-	}
-	if err := zw.Close(); err != nil {
-		return 0, err
-	}
-	return c.send(ctx, method, path, &buf, "gzip", out)
-}
-
 // send issues one request with an optional per-request deadline and
 // optional Content-Encoding, decoding errors and output like do.
 func (c *Client) send(ctx context.Context, method, path string, body io.Reader, encoding string, out any) (int, error) {
@@ -373,7 +355,9 @@ func decodeAPIError(resp *http.Response, raw []byte) error {
 	}
 }
 
-// raw issues a GET and returns the undecoded body (datasets, metrics).
+// raw issues a GET and returns the undecoded body (datasets, metrics),
+// read into a buffer sized from Content-Length (bodyio.ReadAll caps
+// what the header alone can reserve).
 func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -384,7 +368,7 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := bodyio.ReadAll(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
@@ -569,21 +553,36 @@ func (c *Client) Heartbeat(ctx context.Context, jobID string, index int, worker,
 // PushShardResult uploads one executed shard under its lease. The
 // body is gzip-compressed by default (trace wire payloads are large,
 // repetitive JSON); WithUploadCompression(false) sends it plain. The
-// upload is idempotent — the server's first-writer-wins dedup makes
-// re-sending after an ambiguous failure safe.
+// wire's dataset lines go into the body verbatim
+// (ShardResultWire.AppendJSON). The upload is idempotent — the
+// server's first-writer-wins dedup makes re-sending after an ambiguous
+// failure safe.
 func (c *Client) PushShardResult(ctx context.Context, jobID string, index int, worker, lease string, res *campaign.ShardResultWire) (ResultAck, error) {
-	req := struct {
-		Worker string                    `json:"worker"`
-		Lease  string                    `json:"lease"`
-		Result *campaign.ShardResultWire `json:"result"`
-	}{Worker: worker, Lease: lease, Result: res}
+	head, err := json.Marshal(struct {
+		Worker string `json:"worker"`
+		Lease  string `json:"lease"`
+	}{Worker: worker, Lease: lease})
+	if err != nil {
+		return ResultAck{}, err
+	}
+	body := append(head[:len(head)-1], `,"result":`...)
+	if body, err = res.AppendJSON(body); err != nil {
+		return ResultAck{}, err
+	}
+	body = append(body, '}')
+	var payload io.Reader = bytes.NewReader(body)
+	encoding := ""
+	if !c.plainUploads {
+		// The writer comes from the shared pool, so an upload does not
+		// pay for a fresh deflate state.
+		var buf bytes.Buffer
+		if err := bodyio.Gzip(&buf, body); err != nil {
+			return ResultAck{}, err
+		}
+		payload, encoding = &buf, "gzip"
+	}
 	path := fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index)
 	var ack ResultAck
-	var err error
-	if c.plainUploads {
-		_, err = c.do(ctx, http.MethodPost, path, req, &ack)
-	} else {
-		_, err = c.doGzip(ctx, http.MethodPost, path, req, &ack)
-	}
+	_, err = c.send(ctx, http.MethodPost, path, payload, encoding, &ack)
 	return ack, err
 }

@@ -322,6 +322,7 @@ type shardSpec struct {
 	vantage string
 	planned int // the vantage's full trace quota
 	lo, hi  int // this slice's trace range [lo, hi)
+	first   int // campaign-wide index of trace lo
 	sweep   bool
 	seed    int64
 }
@@ -390,6 +391,7 @@ func (cfg Config) shardSpecs() []shardSpec {
 		slices = 1
 	}
 	var shards []shardSpec
+	first := 0
 	for i, name := range topology.VantageNames() {
 		n := plan[name]
 		if n <= 0 {
@@ -407,9 +409,11 @@ func (cfg Config) shardSpecs() []shardSpec {
 				planned: n,
 				lo:      lo,
 				hi:      hi,
+				first:   first,
 				sweep:   lo == 0,
 				seed:    ShardSeed(cfg.Seed, i, s),
 			})
+			first += hi - lo
 		}
 	}
 	return shards
@@ -427,6 +431,9 @@ type ShardInfo struct {
 	Vantage string `json:"vantage"`
 	// Traces is the number of traces in this shard's block.
 	Traces int `json:"traces"`
+	// First is the campaign-wide dataset index of the block's first
+	// trace: the traces of every earlier shard in plan order.
+	First int `json:"first"`
 	// Sweep marks the slice that also owns the vantage's traceroute
 	// sweep (the one holding trace 0).
 	Sweep bool `json:"sweep"`
@@ -444,6 +451,7 @@ func (cfg Config) Shards() []ShardInfo {
 			Slice:   sh.slice,
 			Vantage: sh.vantage,
 			Traces:  sh.hi - sh.lo,
+			First:   sh.first,
 			Sweep:   sh.sweep,
 		}
 	}
@@ -503,6 +511,12 @@ func Run(cfg Config) (*Result, error) {
 					continue
 				}
 				cfg.Metrics.shardFinished(results[i].stats, results[i].world, sched.Name())
+				// Only the first shard's world survives the merge
+				// (Result.World); release the others now instead of
+				// holding every instantiated world until the pool drains.
+				if i > 0 {
+					results[i].world = nil
+				}
 				if cfg.ShardDone != nil {
 					cfg.ShardDone(results[i].stats)
 				}
@@ -710,17 +724,30 @@ func runShard(cfg Config, bp *topology.Blueprint, sh shardSpec, sched netsim.Sch
 	}, nil
 }
 
-// merge combines per-shard results in canonical (vantage, slice) order.
-// Congestion samples aggregate per vantage: counters sum over the
-// vantage's slices, so the CE-mark report — like the dataset — is
-// independent of how the campaign was sliced.
+// merge combines per-shard results in canonical (vantage, slice) order:
+// the datasets through dataset.Merge, everything else through
+// mergeShards.
 func merge(results []shardResult) *Result {
+	res := mergeShards(results)
+	parts := make([]*dataset.Dataset, len(results))
+	for i := range results {
+		parts[i] = results[i].data
+	}
+	res.Dataset = dataset.Merge(parts...)
+	res.World = results[0].world
+	return res
+}
+
+// mergeShards is the canonical merge of everything but the dataset and
+// the world, shared by Run and the coordinator's ConcatWire. Congestion
+// samples aggregate per vantage: counters sum over the vantage's
+// slices, so the CE-mark report — like the dataset — is independent of
+// how the campaign was sliced.
+func mergeShards(results []shardResult) *Result {
 	res := &Result{Shards: make([]ShardStats, 0, len(results))}
-	parts := make([]*dataset.Dataset, 0, len(results))
 	seen := make(map[packet.Addr]bool)
 	for i := range results {
 		r := &results[i]
-		parts = append(parts, r.data)
 		res.PathObs = append(res.PathObs, r.obs...)
 		res.Shards = append(res.Shards, r.stats)
 		res.Events += r.stats.Events
@@ -749,7 +776,5 @@ func merge(results []shardResult) *Result {
 			}
 		}
 	}
-	res.Dataset = dataset.Merge(parts...)
-	res.World = results[0].world
 	return res
 }

@@ -165,6 +165,14 @@ func Write(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
+// MarshalLine returns one dataset line: exactly the bytes Write emits
+// for t, without the trailing newline. Concatenating MarshalLine(t) and
+// "\n" over a dataset's traces reproduces Write's output, which is what
+// lets a dataset be assembled from lines encoded elsewhere.
+func MarshalLine(t *Trace) ([]byte, error) {
+	return json.Marshal(t)
+}
+
 // Read parses a JSON-lines dataset.
 func Read(r io.Reader) (*Dataset, error) {
 	d := &Dataset{}

@@ -103,3 +103,25 @@ func TestServersUnion(t *testing.T) {
 		t.Errorf("servers = %v", servers)
 	}
 }
+
+// TestMarshalLineMatchesWrite pins the line contract: concatenating
+// MarshalLine plus a newline per trace is Write's output, byte for byte.
+func TestMarshalLineMatchesWrite(t *testing.T) {
+	d := sampleDataset()
+	d.Traces[1].Vantage = `<"odd" & vantage>`
+	var want bytes.Buffer
+	if err := Write(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for i := range d.Traces {
+		line, err := MarshalLine(&d.Traces[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(append(got, line...), '\n')
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("lines differ from Write:\n%s\nvs\n%s", got, want.Bytes())
+	}
+}

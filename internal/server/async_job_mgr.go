@@ -544,25 +544,25 @@ func (m *jobMgr) failJob(j *job, err error, pool bool) {
 	m.logger.Error("job failed", "job", j.id, "error", err)
 }
 
-// fileRun serializes and files a completed campaign's artifacts into
-// the content-addressed store — the single path shared by in-process
-// runs and distributed merges, so both produce identical RunMeta and
-// identical dataset bytes. Returns the dataset size.
-func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int, error) {
-	var buf bytes.Buffer
-	if err := dataset.Write(&buf, res.Dataset); err != nil {
-		return 0, err
-	}
+// fileRun files a completed campaign's artifacts — its merged result
+// and its final dataset bytes — into the content-addressed store: the
+// single path shared by in-process runs and distributed merges, so
+// both produce identical RunMeta. Returns the dataset size.
+func (m *jobMgr) fileRun(j *job, res *campaign.Result, data []byte, wall time.Duration) (int, error) {
 	specBytes, err := j.spec.Canonical()
 	if err != nil {
 		return 0, err
 	}
+	traces := 0
+	for _, sh := range res.Shards {
+		traces += sh.Traces
+	}
 	meta := RunMeta{
 		Key:                j.key,
 		Spec:               j.spec,
-		DatasetSHA256:      fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
-		DatasetBytes:       int64(buf.Len()),
-		Traces:             len(res.Dataset.Traces),
+		DatasetSHA256:      fmt.Sprintf("%x", sha256.Sum256(data)),
+		DatasetBytes:       int64(len(data)),
+		Traces:             traces,
 		Servers:            len(res.Servers),
 		Shards:             len(res.Shards),
 		Events:             res.Events,
@@ -575,11 +575,11 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int,
 		rep := analysis.ComputeCEMarkReport(res.Congestion)
 		meta.Congestion = &rep
 	}
-	if err := m.store.Put(j.key, specBytes, meta, buf.Bytes()); err != nil {
+	if err := m.store.Put(j.key, specBytes, meta, data); err != nil {
 		return 0, err
 	}
-	m.met.storeBytesWritten.Add(uint64(buf.Len()))
-	return buf.Len(), nil
+	m.met.storeBytesWritten.Add(uint64(len(data)))
+	return len(data), nil
 }
 
 // runJob executes one queued campaign on a worker goroutine.
@@ -618,7 +618,12 @@ func (m *jobMgr) runJob(j *job) {
 	}
 	wall := m.now().Sub(start)
 
-	n, err := m.fileRun(j, res, wall)
+	var buf bytes.Buffer
+	if err := dataset.Write(&buf, res.Dataset); err != nil {
+		fail(err)
+		return
+	}
+	n, err := m.fileRun(j, res, buf.Bytes(), wall)
 	if err != nil {
 		fail(err)
 		return

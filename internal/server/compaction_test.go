@@ -41,6 +41,21 @@ func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*h
 	return ts, apiclient.New(ts.URL)
 }
 
+// startClosedSegServer is startSegServer for tests that never crash
+// the coordinator: cleanup also Closes it, which waits for the
+// compactor goroutine, so no checkpoint write races the removal of the
+// test's data dir.
+func startClosedSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) *apiclient.Client {
+	t.Helper()
+	srv := newSegServer(t, dir, fc, segBytes)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return apiclient.New(ts.URL)
+}
+
 // newSegServer builds the coordinator startSegServer serves.
 func newSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) *server.Server {
 	t.Helper()
@@ -58,25 +73,41 @@ func newSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) *serv
 }
 
 // journalBytes sums the on-disk footprint of one job's journal
-// segments.
+// segments. A segment unlinked by a compaction between the listing and
+// its stat makes the listing torn (the checkpoint that replaced it may
+// be missing from it), so the whole measurement is retaken until one
+// listing stats cleanly.
 func journalBytes(t *testing.T, dir, jobID string) int64 {
+	t.Helper()
+	for {
+		if total, ok := statJournal(t, dir, jobID); ok {
+			return total
+		}
+	}
+}
+
+// statJournal is one journalBytes measurement; ok is false when a
+// listed segment vanished before its stat.
+func statJournal(t *testing.T, dir, jobID string) (total int64, ok bool) {
 	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), jobID+".") {
 			continue
 		}
 		info, err := e.Info()
+		if errors.Is(err, os.ErrNotExist) {
+			return 0, false
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += info.Size()
 	}
-	return total
+	return total, true
 }
 
 // jobSegments lists one job's journal segment file names, sorted by
@@ -149,7 +180,7 @@ func TestJournalCompactionBoundsSize(t *testing.T) {
 	// Baseline: a cap so large nothing ever seals — PR 9's single-file
 	// journal, byte for byte.
 	baseDir := t.TempDir()
-	_, baseClient := startSegServer(t, baseDir, newFakeClock(), 1<<30)
+	baseClient := startClosedSegServer(t, baseDir, newFakeClock(), 1<<30)
 	baseJob, _, err := baseClient.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +196,7 @@ func TestJournalCompactionBoundsSize(t *testing.T) {
 
 	// Segmented: a small cap seals and checkpoints throughout the run.
 	segDir := t.TempDir()
-	_, segClient := startSegServer(t, segDir, newFakeClock(), 2048)
+	segClient := startClosedSegServer(t, segDir, newFakeClock(), 2048)
 	segJob, _, err := segClient.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,10 @@ package server
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bodyio"
 	"repro/internal/campaign"
 )
 
@@ -182,31 +181,29 @@ type cpShard struct {
 	Wire        *campaign.ShardResultWire `json:"wire,omitempty"`
 }
 
-// encodeCheckpoint gzips a snapshot's JSON. The accepted wires inside
-// are highly repetitive JSON, which is what makes a checkpoint far
-// smaller than the record chain it replaces.
+// encodeCheckpoint gzips a snapshot's JSON through the shared writer
+// pool. The accepted wires inside are highly repetitive JSON, which is
+// what makes a checkpoint far smaller than the record chain it
+// replaces.
 func encodeCheckpoint(st *cpState) ([]byte, error) {
 	body, err := json.Marshal(st)
 	if err != nil {
 		return nil, fmt.Errorf("server: journal: marshal checkpoint: %w", err)
 	}
 	var buf bytes.Buffer
-	gz, _ := gzip.NewWriterLevel(&buf, gzip.BestCompression)
-	if _, err := gz.Write(body); err != nil {
-		return nil, fmt.Errorf("server: journal: compress checkpoint: %w", err)
-	}
-	if err := gz.Close(); err != nil {
+	if err := bodyio.Gzip(&buf, body); err != nil {
 		return nil, fmt.Errorf("server: journal: compress checkpoint: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
+// maxCheckpointBytes bounds a checkpoint's decompressed JSON. The
+// journal is the coordinator's own CRC-checked file, so this is a
+// sanity bound, far above any real job.
+const maxCheckpointBytes = 1 << 36
+
 func decodeCheckpoint(snap []byte) (*cpState, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(snap))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint snapshot: %w", err)
-	}
-	body, err := io.ReadAll(gz)
+	body, err := bodyio.Gunzip(snap, maxCheckpointBytes)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint snapshot: %w", err)
 	}
@@ -496,7 +493,7 @@ type jobWAL struct {
 // written. It does NOT sync; callers batch appends and sync once
 // before releasing the promise the records carry.
 func (w *jobWAL) append(rec *walRecord) (int, error) {
-	body, err := json.Marshal(rec)
+	body, err := marshalRecord(rec)
 	if err != nil {
 		return 0, fmt.Errorf("server: journal: marshal %s record: %w", rec.Type, err)
 	}
@@ -511,6 +508,27 @@ func (w *jobWAL) append(rec *walRecord) (int, error) {
 	}
 	w.size += int64(n)
 	return n, nil
+}
+
+// marshalRecord encodes one record's JSON. A result record's wire is
+// appended last through ShardResultWire.AppendJSON, so its dataset
+// lines land in the journal verbatim — checked single-line JSON from
+// the upload — instead of being re-compacted by encoding/json.
+func marshalRecord(rec *walRecord) ([]byte, error) {
+	if rec.Wire == nil {
+		return json.Marshal(rec)
+	}
+	head := *rec
+	head.Wire = nil
+	body, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body[:len(body)-1], `,"wire":`...)
+	if body, err = rec.Wire.AppendJSON(body); err != nil {
+		return nil, err
+	}
+	return append(body, '}'), nil
 }
 
 // sync makes every append so far durable.

@@ -478,20 +478,18 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
-	if wire.Version != campaign.ShardWireVersion {
-		return ResultResponse{}, false, faultf(http.StatusBadRequest, codeResultInvalid,
-			"shard result has wire version %d (this server speaks %d)",
-			wire.Version, campaign.ShardWireVersion)
-	}
 	if wire.SpecHash != j.key {
 		m.met.resultsStale.Inc()
 		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
 			"result computed for spec %.12s, job %s wants %.12s", wire.SpecHash, j.id, j.key)
 	}
-	if wire.Shard != sh.Shard || wire.Slice != sh.Slice {
+	// CheckPlan is the one version and plan gate. The lines are the
+	// final dataset bytes, merged by concatenation: they must be this
+	// plan slot's traces, with their campaign-wide indices, before
+	// anything is journaled.
+	if err := wire.CheckPlan(sh.ShardInfo); err != nil {
 		return ResultResponse{}, false, faultf(http.StatusBadRequest, codeResultInvalid,
-			"payload is for shard (%d,%d) but was posted to (%d,%d)",
-			wire.Shard, wire.Slice, sh.Shard, sh.Slice)
+			"posted to shard %d: %v", idx, err)
 	}
 	resp := ResultResponse{Job: j.id, Index: idx, ShardsTotal: len(j.shards)}
 	if sh.State == "done" {
@@ -606,9 +604,10 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 }
 
 // finalizeDistributed merges a completed distributed job's uploaded
-// shard results in canonical order and files the run — the same
-// filing path the in-process runner uses, so the stored artifacts are
-// indistinguishable.
+// shard results by concatenating their dataset lines in canonical
+// order, and files the run — the same filing path the in-process
+// runner uses, so the stored artifacts are indistinguishable. No trace
+// is decoded or re-encoded here.
 func (m *jobMgr) finalizeDistributed(j *job) {
 	if err := failpoint.Check(failpoint.FinalizeBeforeStore); err != nil {
 		// Hook-simulated crash between the last accepted shard and the
@@ -618,13 +617,13 @@ func (m *jobMgr) finalizeDistributed(j *job) {
 		m.logger.Error("failpoint abort before finalize", "job", j.id, "error", err)
 		return
 	}
-	res, err := campaign.MergeWire(j.wires)
+	res, data, err := campaign.ConcatWire(j.wires)
 	if err != nil {
 		m.failJob(j, err, false)
 		return
 	}
 	wall := m.now().Sub(j.started)
-	n, err := m.fileRun(j, res, wall)
+	n, err := m.fileRun(j, res, data, wall)
 	if err != nil {
 		m.failJob(j, err, false)
 		return

@@ -167,7 +167,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 
 	j = m.registerRecoveredLocked(id, key, spec, plan)
 	if cause == nil && cp != nil {
-		m.applyCheckpointLocked(j, cp)
+		cause = m.applyCheckpointLocked(j, cp)
 	}
 	if cause == nil {
 		cause = m.replayLocked(j, rep.records[1:])
@@ -238,8 +238,10 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 // checkpoint's summarized state: shard states, the full lease table
 // (primary and speculative tokens, seq high-water, grant timestamps),
 // accepted wires, and the duration statistics feeding speculation.
-// Tail records replay on top, idempotently. Callers hold m.mu.
-func (m *jobMgr) applyCheckpointLocked(j *job, st *cpState) {
+// Tail records replay on top, idempotently. A wire that does not fit
+// its plan slot (another wire version, say) is an error: the job
+// fails rather than merge it. Callers hold m.mu.
+func (m *jobMgr) applyCheckpointLocked(j *job, st *cpState) error {
 	j.durEWMA = st.DurEWMA
 	j.durMax = st.DurMax
 	j.durCount = st.DurCount
@@ -258,6 +260,9 @@ func (m *jobMgr) applyCheckpointLocked(j *job, st *cpState) {
 		l.specExpires = cs.SpecExpires
 		switch {
 		case cs.Wire != nil:
+			if err := cs.Wire.CheckPlan(sh.ShardInfo); err != nil {
+				return fmt.Errorf("journal checkpoint: shard %d: %w", i, err)
+			}
 			j.wires[i] = cs.Wire
 			sh.State = "done"
 			sh.Worker = cs.Worker
@@ -271,6 +276,7 @@ func (m *jobMgr) applyCheckpointLocked(j *job, st *cpState) {
 			sh.Worker = cs.Worker
 		}
 	}
+	return nil
 }
 
 // replayLocked applies the post-submission records to a freshly
@@ -332,6 +338,9 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 			}
 			if rec.Wire == nil {
 				return fmt.Errorf("journal replay: result record for shard %d has no payload", rec.Idx)
+			}
+			if err := rec.Wire.CheckPlan(j.shards[rec.Idx].ShardInfo); err != nil {
+				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, err)
 			}
 			if j.wires[rec.Idx] != nil {
 				continue // duplicate append from a retried upload; first wins

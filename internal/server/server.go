@@ -44,7 +44,6 @@
 package server
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,6 +58,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bodyio"
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
@@ -269,25 +269,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // decodeBody reads and unmarshals a bounded JSON request body into v,
 // classifying failures as bad_request faults. A Content-Encoding: gzip
 // body is decoded transparently (net/http does not decompress request
-// bodies); the byte budget applies to the decompressed stream too, so
-// a compression bomb is a 400, not an allocation.
+// bodies) through a pooled reader; the byte budget applies to the
+// decompressed stream too, so a compression bomb is a 400, not an
+// allocation. Buffers are sized from Content-Length and the gzip
+// trailer, each capped by the budget; neither hint is trusted to
+// reserve more than bodyio's presize cap before its bytes arrive.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	var reader io.Reader = http.MaxBytesReader(w, r.Body, limit)
-	if gzipRequest(r) {
-		gz, err := gzip.NewReader(reader)
-		if err != nil {
-			return faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
-		}
-		defer gz.Close()
-		reader = io.LimitReader(gz, limit+1)
-	}
-	body, err := io.ReadAll(reader)
+	body, err := bodyio.ReadAll(http.MaxBytesReader(w, r.Body, limit), min(r.ContentLength, limit))
 	if err != nil {
 		return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
 	}
-	if int64(len(body)) > limit {
-		return faultf(http.StatusBadRequest, codeBadRequest,
-			"decompressed body exceeds the %d-byte limit", limit)
+	if gzipRequest(r) {
+		body, err = bodyio.Gunzip(body, limit)
+		if errors.Is(err, bodyio.ErrTooLarge) {
+			return faultf(http.StatusBadRequest, codeBadRequest,
+				"decompressed body exceeds the %d-byte limit", limit)
+		}
+		if err != nil {
+			return faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
+		}
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
